@@ -21,68 +21,8 @@ use staged_metrics::{SeriesPoint, Snapshot};
 use staged_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Counting global allocator: every `alloc`/`realloc`/`alloc_zeroed`
-/// bumps one relaxed atomic. Behind a feature because the counter taxes
-/// every allocation in the process, including the workload generator.
-#[cfg(feature = "count-alloc")]
-mod alloc_count {
-    use staged_sync::atomic::{AtomicU64, Ordering};
-    use std::alloc::{GlobalAlloc, Layout, System};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    struct Counting;
-
-    // SAFETY: delegates directly to `System`; the counter has no effect
-    // on the returned pointers or layouts.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: the caller's layout contract passes to `System`
-            // unchanged.
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: `ptr` came from this allocator (which delegates
-            // to `System`) with the same layout.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: `ptr`/`layout` describe a live `System` block and
-            // the caller guarantees `new_size` is valid.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: the caller's layout contract passes to `System`
-            // unchanged.
-            unsafe { System.alloc_zeroed(layout) }
-        }
-    }
-
-    #[global_allocator]
-    static COUNTING: Counting = Counting;
-
-    pub fn enabled() -> bool {
-        true
-    }
-
-    pub fn total() -> u64 {
-        ALLOCS.load(Ordering::Relaxed) // lint: allow(relaxed)
-    }
-}
-
-#[cfg(not(feature = "count-alloc"))]
-mod alloc_count {
-    pub fn enabled() -> bool {
-        false
-    }
-
-    pub fn total() -> u64 {
-        0
-    }
-}
+#[path = "../alloc_count.rs"]
+mod alloc_count;
 
 struct Args {
     exp: Experiment,

@@ -2,76 +2,29 @@
 
 use crate::app::{App, PageOutcome};
 use crate::config::ServerConfig;
-use crate::error::AppError;
-use crate::governor::{ConnectionGovernor, GovernedStream};
-use crate::handle::{FaultFn, ServerHandle};
-use crate::health::{self, HealthView, Readiness};
-use crate::overload::{overload_response, ChaosAction, DbSlot, RetryEstimator};
-use crate::scheduler::{RequestClass, ServiceTimeTracker};
-use crate::staged::{
-    register_page_tracker, register_plan_observer, register_pool, register_stage, setup_durability,
-    shutdown_checkpoint,
+use crate::front::{
+    is_admin, merge_captures, register_pool, register_stage, run_handler_with_slot, Conn, Front,
+    Sent,
 };
-use crate::stats::{RequestKind, ServerStats, ShedPoint};
-use staged_db::{CircuitBreaker, ConnectionPool, Database, PooledConnection};
-use staged_http::{Connection, HttpError, ParseLimits, Request, Response, StatusCode};
-use staged_metrics::Registry;
+use crate::handle::ServerHandle;
+use crate::overload::{overload_response, DbSlot};
+use crate::scheduler::RequestClass;
+use crate::stats::{RequestKind, ShedPoint};
+use staged_db::Database;
+use staged_http::{HttpError, Method, Request, Response, StatusCode};
 use staged_pool::{PoolConfig, PoolStats, PushError, SyncQueue, WorkerPool};
-use staged_sync::atomic::{AtomicBool, Ordering};
 use std::io;
-use std::net::{TcpListener, TcpStream};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Everything a baseline worker needs to serve a connection.
-struct WorkerCtx {
-    app: App,
-    tracker: Arc<ServiceTimeTracker>,
-    stats: Arc<ServerStats>,
-    limits: ParseLimits,
-    /// Per-request time budget (`None` disables deadline checking).
-    budget: Option<Duration>,
-    /// Adaptive `Retry-After` advice for shed responses.
-    retry: RetryEstimator,
-    /// The worker queue, held for health reporting and retry advice.
-    queue: Arc<SyncQueue<(GovernedStream, Instant)>>,
-    /// The worker pool's stats, held for health reporting.
+/// The baseline's whole scheduling model: one bounded queue of accepted
+/// connections in front of one worker pool.
+struct Worker {
+    queue: Arc<SyncQueue<(Conn, Instant)>>,
     pool_stats: Arc<PoolStats>,
-    /// Lifecycle phase, served by `/readyz`.
-    readiness: Arc<Readiness>,
-    /// The database circuit breaker, surfaced in the health payloads.
-    breaker: Option<Arc<CircuitBreaker>>,
-    /// The metrics registry; `/metrics` and `/healthz` both read it.
-    registry: Arc<Registry>,
-    /// Connection-admission caps (global/per-IP concurrency, keep-alive
-    /// quotas, idle harvesting) — same machinery as the staged server.
-    governor: ConnectionGovernor,
-    /// The database, kept for the health payload's durability section
-    /// (`None` status on in-memory databases omits the section).
-    db: Arc<Database>,
-    /// Set when shutdown begins: keep-alive connections are closed
-    /// after their in-flight response instead of being read again.
-    draining: Arc<AtomicBool>,
 }
 
-impl WorkerCtx {
-    /// Builds the health payload from the metrics registry. The
-    /// baseline registers one queue, one pool, and no scheduler gauges.
-    fn health_response(&self, path: &str) -> Response {
-        let view = HealthView {
-            phase: self.readiness.phase(),
-            breaker: self.breaker.as_deref(),
-            registry: &self.registry,
-            durability: self.db.durability_status(),
-        };
-        if path == "/readyz" {
-            view.readyz(self.retry.advise())
-        } else {
-            view.healthz()
-        }
-    }
-}
+type Ctx = Front<Worker>;
 
 /// The unmodified request-processing model: a single listener thread
 /// feeds accepted connections to one pool of worker threads; each
@@ -105,338 +58,97 @@ impl BaselineServer {
     /// Panics if `config` is inconsistent (see
     /// [`ServerConfig::validate`]).
     pub fn start(config: ServerConfig, app: App, db: Arc<Database>) -> io::Result<ServerHandle> {
-        config.validate();
-        let listener = TcpListener::bind(config.addr)?;
-        let addr = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::new(config.stats_bucket));
-        // The baseline has no scheduler; the tracker exists purely so
-        // completions can be labelled quick/lengthy for the Figure 10
-        // breakdown, using the same signal the staged server schedules
-        // on.
-        let tracker = Arc::new(ServiceTimeTracker::new(config.lengthy_cutoff));
-        let durable_db = Arc::clone(&db);
-        let connections = ConnectionPool::new(db, config.db_connections);
-        connections.set_fault_plan(config.fault_plan);
-        connections.set_breaker(config.breaker);
-        let breaker = connections.breaker();
-        let fault_pool = connections.clone();
-        let set_fault: FaultFn = Arc::new(move |plan| fault_pool.set_fault_plan(plan));
-        let readiness = Arc::new(Readiness::new());
-        let draining = Arc::new(AtomicBool::new(false));
-
-        // Queue and stats exist before the pool so the worker context
-        // can report them on `/healthz` and feed the retry estimator.
-        let queue = Arc::new(SyncQueue::<(GovernedStream, Instant)>::bounded(
-            config.baseline_queue_bound(),
-        ));
+        let queue = Arc::new(SyncQueue::bounded(config.baseline_queue_bound()));
         let pool_stats = Arc::new(PoolStats::default());
-        let governor = ConnectionGovernor::new(config.governor);
-
-        // One registry for `/metrics`, `/healthz`, and the handle's
-        // accessors — the baseline registers its single stage and pool
-        // under the same family names the staged server uses, so
-        // dashboards and the bench bins read both models identically.
-        let registry = Arc::new(Registry::new());
-        register_stage(&registry, "worker", &queue);
-        register_pool(&registry, "baseline-worker", "worker", &pool_stats);
-        stats.register_into(&registry);
-        register_page_tracker(&registry, &tracker);
-        register_plan_observer(&registry, &durable_db);
-        governor.register_into(&registry);
-        setup_durability(&config, &registry, &durable_db)?;
-
-        let retry = {
-            let q = Arc::clone(&queue);
-            let st = Arc::clone(&stats);
-            RetryEstimator::new(
-                config.retry_after,
-                Box::new(move || q.len()),
-                Box::new(move || st.total_completed()),
-            )
-        };
-
-        let ctx = Arc::new(WorkerCtx {
-            app,
-            tracker: Arc::clone(&tracker),
-            stats: Arc::clone(&stats),
-            limits: config.limits,
-            budget: config.request_deadline,
-            retry,
+        let depth = Arc::clone(&queue);
+        let model = Worker {
             queue: Arc::clone(&queue),
             pool_stats: Arc::clone(&pool_stats),
-            readiness: Arc::clone(&readiness),
-            breaker: breaker.clone(),
-            registry: Arc::clone(&registry),
-            governor,
-            db: Arc::clone(&durable_db),
-            draining: Arc::clone(&draining),
-        });
+        };
+        // The baseline has no scheduler and no traces; the front's
+        // service-time tracker only labels completions quick/lengthy for
+        // the Figure 10 breakdown, using the signal the staged server
+        // schedules on.
+        let (front, bound) = Front::bind(&config, app, db, false, model, move || depth.len())?;
+        // The single stage and pool go under the family names the staged
+        // server uses, so dashboards and the bench bins read both models
+        // identically.
+        register_stage(&front.registry, "worker", &queue);
+        register_pool(&front.registry, "baseline-worker", "worker", &pool_stats);
+        let front = Arc::new(front);
 
-        let worker_ctx = Arc::clone(&ctx);
-        let db_acquire_timeout = config.db_acquire_timeout;
-        let db_acquire_retries = config.db_acquire_retries;
+        let ctx = Arc::clone(&front);
         let pool = WorkerPool::with_parts(
-            Arc::clone(&queue),
-            Arc::clone(&pool_stats),
+            queue,
+            pool_stats,
             PoolConfig::new("baseline-worker", config.baseline_workers),
-            |_| DbSlot::new(&connections, db_acquire_timeout, db_acquire_retries),
-            move |slot: &mut DbSlot, (stream, arrived): (GovernedStream, Instant)| {
-                // Queue-wait check: a connection that waited longer
-                // than the whole request budget is shed, not served.
-                if worker_ctx.budget.is_some_and(|b| arrived.elapsed() > b) {
-                    worker_ctx.stats.deadline_expired.increment();
-                    let mut conn = Connection::with_limits(stream, worker_ctx.limits);
-                    if conn
-                        .send(&overload_response(worker_ctx.retry.advise()))
-                        .is_ok()
-                    {
-                        // The request was never read; drain it so the
-                        // close doesn't RST the 503 away.
-                        crate::overload::drain_before_close(conn.stream_mut().tcp());
-                    }
+            |_| bound.db_slot(),
+            move |slot: &mut DbSlot, (conn, arrived): (Conn, Instant)| {
+                // A connection that waited longer than the whole request
+                // budget is shed, not served.
+                if ctx.waited_too_long(arrived) {
+                    ctx.expire(conn, Method::Get, None);
                     return;
                 }
-                serve_connection(stream, slot, &worker_ctx);
+                serve_connection(&ctx, conn, slot);
             },
         );
 
         // Legacy gauge name for `ServerHandle::gauge_names`, mapped to
         // `stage_queue_depth{stage="worker"}` by the handle.
         let gauge_names = vec!["worker".to_string()];
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let listener_stop = Arc::clone(&stop);
-        let listen_ctx = Arc::clone(&ctx);
-        let read_timeout = config.read_timeout;
-        let write_timeout = config.write_timeout;
-        let chaos = config.chaos;
-        let listener_thread = std::thread::Builder::new()
-            .name("baseline-listener".to_string())
-            .spawn(move || {
-                let mut conn_seq: u64 = 0;
-                for incoming in listener.incoming() {
-                    if listener_stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    match incoming {
-                        Ok(stream) => {
-                            let seq = conn_seq;
-                            conn_seq += 1;
-                            match chaos.map_or(ChaosAction::Pass, |c| c.decide(seq)) {
-                                ChaosAction::Pass => {}
-                                ChaosAction::Kill => {
-                                    listen_ctx.stats.chaos_killed.increment();
-                                    drop(stream);
-                                    continue;
-                                }
-                                ChaosAction::Stall => {
-                                    listen_ctx.stats.chaos_stalled.increment();
-                                    std::thread::sleep(chaos.expect("stall implies chaos").stall);
-                                }
-                            }
-                            let _ = stream.set_read_timeout(read_timeout);
-                            let _ = stream.set_write_timeout(write_timeout);
-                            // Admission control: over-cap connections are
-                            // turned away with the well-formed 503 +
-                            // Retry-After, not silently reset.
-                            let peer_ip = stream.peer_addr().ok().map(|a| a.ip());
-                            let stream = match listen_ctx.governor.admit(peer_ip) {
-                                Ok(permit) => GovernedStream::new(stream, Some(permit)),
-                                Err(_) => {
-                                    let mut conn = Connection::with_limits(
-                                        GovernedStream::new(stream, None),
-                                        listen_ctx.limits,
-                                    );
-                                    let resp = overload_response(listen_ctx.retry.advise());
-                                    if conn.send(&resp).is_err() {
-                                        listen_ctx.stats.dropped_connections.increment();
-                                    } else {
-                                        crate::overload::drain_before_close(
-                                            conn.stream_mut().tcp(),
-                                        );
-                                    }
-                                    continue;
-                                }
-                            };
-                            // Non-blocking enqueue: a full queue sheds
-                            // the connection instead of stalling accept.
-                            match queue.try_push((stream, Instant::now())) {
-                                Ok(()) => {}
-                                Err(PushError::Full((stream, _))) => {
-                                    pool_stats.rejected.increment();
-                                    listen_ctx.stats.record_shed(ShedPoint::Listener);
-                                    let mut conn =
-                                        Connection::with_limits(stream, listen_ctx.limits);
-                                    if conn
-                                        .send(&overload_response(listen_ctx.retry.advise()))
-                                        .is_err()
-                                    {
-                                        listen_ctx.stats.dropped_connections.increment();
-                                    } else {
-                                        crate::overload::drain_before_close(
-                                            conn.stream_mut().tcp(),
-                                        );
-                                    }
-                                }
-                                Err(PushError::Closed(_)) => break,
-                            }
-                        }
-                        Err(_) => listen_ctx.stats.dropped_connections.increment(),
-                    }
-                }
-            })
-            .expect("failed to spawn listener thread");
-
-        // The listener is live: accepted connections will be served.
-        readiness.set_ready();
-
-        let drain_ctx = Arc::clone(&ctx);
-        let drain_deadline = config.drain_deadline;
-        let shutdown: crate::handle::ShutdownFn = Box::new(move || {
-            // Drain-aware shutdown: advertise not-ready, close
-            // keep-alive connections after their in-flight response,
-            // stop accepting — then let every already-accepted request
-            // finish before closing the pool.
-            drain_ctx.readiness.set_draining();
-            drain_ctx.draining.store(true, Ordering::Release);
-            stop.store(true, Ordering::Release);
-            // Poke the blocking accept() so the listener notices.
-            let _ = TcpStream::connect(addr);
-            let _ = listener_thread.join();
-            // `pool.shutdown()` drains the queue's backlog, but only
-            // this bounded wait covers the window between a worker
-            // popping a connection and finishing its response.
-            let deadline = Instant::now() + drain_deadline;
-            while (!drain_ctx.queue.is_empty() || drain_ctx.pool_stats.busy.value() > 0)
-                && Instant::now() <= deadline
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            pool.shutdown();
-            // Last: with every worker joined, checkpoint the database
-            // so a graceful stop never replays on the next open.
-            shutdown_checkpoint(&drain_ctx.db)
-        });
-
-        Ok(ServerHandle::new(
-            addr,
-            stats,
-            tracker,
-            registry,
+        Ok(front.serve(
+            bound,
+            "baseline-listener",
             gauge_names,
-            readiness,
-            set_fault,
-            breaker,
-            shutdown,
+            accept,
+            |ctx| ctx.model.pool_stats.busy.value().max(0),
+            move || pool.shutdown(),
         ))
+    }
+}
+
+/// The listener's non-blocking enqueue: a full queue sheds the
+/// connection instead of stalling accept.
+fn accept(ctx: &Ctx, conn: Conn) -> bool {
+    match ctx.model.queue.try_push((conn, Instant::now())) {
+        Ok(()) => true,
+        Err(PushError::Full((conn, _))) => {
+            ctx.model.pool_stats.rejected.increment();
+            ctx.shed(conn, Method::Get, ShedPoint::Listener, None);
+            true
+        }
+        Err(PushError::Closed(_)) => false,
     }
 }
 
 /// Serves every request on one connection, thread-per-request style:
 /// the whole request lifecycle runs on the calling worker thread.
-fn serve_connection(stream: GovernedStream, slot: &mut DbSlot, ctx: &WorkerCtx) {
-    let mut conn = Connection::with_limits(stream, ctx.limits);
+fn serve_connection(ctx: &Ctx, mut conn: Conn, slot: &mut DbSlot) {
     loop {
         let request = match conn.read_request() {
             Ok(r) => r,
             Err(HttpError::ConnectionClosed { clean: true }) => return,
-            Err(e) => {
-                // Map the parse failure to its real status — 400 for
-                // malformed, 431/413 for oversized headers/bodies, 408
-                // for an expired lifecycle budget — instead of a silent
-                // drop (or a blanket 400).
-                match e.response_status() {
-                    Some(status) => {
-                        if e.is_lifecycle_timeout() {
-                            ctx.stats.slowloris_kills.increment();
-                        }
-                        let mut resp = Response::error(status);
-                        resp.set_close();
-                        let _ = conn.send(&resp);
-                        ctx.stats.errors.increment();
-                    }
-                    None => ctx.stats.dropped_connections.increment(),
-                }
-                return;
-            }
+            Err(e) => return ctx.fail_parse(conn, e, None),
+        };
+        let (response, kind) = if is_admin(request.path()) {
+            (ctx.admin_response(&request.line), None)
+        } else {
+            let (response, kind) = process_request(ctx, &request, slot);
+            (response, Some(kind))
         };
         let keep_alive = request.keep_alive();
-        // Health endpoints are answered ahead of routing, without a
-        // database round trip, and without counting as completions —
-        // monitoring traffic must not skew the goodput series.
-        if health::is_health_path(request.path()) || health::is_observability_path(request.path()) {
-            let response = if health::is_health_path(request.path()) {
-                ctx.health_response(request.path())
-            } else if request.path() == "/metrics" {
-                Response::metrics_text(ctx.registry.encode_prometheus())
-            } else if request.path() == "/debug/explain" {
-                health::explain_response(&ctx.db, request.param("route"))
-            } else {
-                // The baseline is untraced (preserving the paper's
-                // model comparison); the ring is always empty.
-                Response::with_content_type("application/json", "{\"traces\":[]}")
-            };
-            if conn.send_for_method(request.method(), &response).is_err() {
-                ctx.stats.dropped_connections.increment();
-                return;
-            }
-            let server_closed = response
-                .headers()
-                .get("connection")
-                .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-            if !keep_alive || server_closed || ctx.draining.load(Ordering::Acquire) {
-                return;
-            }
-            if keepalive_over_budget(&mut conn, ctx) {
-                return;
-            }
-            continue;
-        }
-        let (response, kind) = process_request(ctx, &request, slot);
-        if conn.send_for_method(request.method(), &response).is_err() {
-            ctx.stats.dropped_connections.increment();
-            return;
-        }
-        ctx.stats.record_completion(kind);
-        // Responses the server marked `Connection: close` (503s) end
-        // the connection even if the client asked for keep-alive — as
-        // does a draining server, so shutdown isn't held open by idle
-        // keep-alive connections.
-        let server_closed = response
-            .headers()
-            .get("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        if !keep_alive || server_closed || ctx.draining.load(Ordering::Acquire) {
-            return;
-        }
-        if keepalive_over_budget(&mut conn, ctx) {
+        if ctx.respond(&mut conn, request.method(), &response, keep_alive, kind) != Sent::Reuse {
             return;
         }
     }
 }
 
-/// Keep-alive lifecycle caps: `true` when this connection has served
-/// its request quota, or when open connections sit at the governor's
-/// harvest watermark (an idle keep-alive connection is then closed to
-/// free its admission slot for a new peer).
-fn keepalive_over_budget(conn: &mut Connection<GovernedStream>, ctx: &WorkerCtx) -> bool {
-    let served = conn.stream_mut().count_served();
-    ctx.governor.keepalive_exhausted(served) || ctx.governor.harvest_idle()
-}
-
 /// Full request processing on the current thread (parse already done):
 /// static lookup, or handler + inline template rendering.
-fn process_request(
-    ctx: &WorkerCtx,
-    request: &Request,
-    slot: &mut DbSlot,
-) -> (Response, RequestKind) {
+fn process_request(ctx: &Ctx, request: &Request, slot: &mut DbSlot) -> (Response, RequestKind) {
     if request.line.is_static() {
-        let response = ctx
-            .app
-            .statics()
-            .response_for_request(request.path(), &request.headers);
-        ctx.app.charge_static();
+        let response = ctx.serve_static(request.path(), &request.headers);
         return (response, RequestKind::Static);
     }
     let Some((route, captures)) = ctx.app.route(request.path()) else {
@@ -448,8 +160,7 @@ fn process_request(
     };
     // Classify from history *before* this request, mirroring the staged
     // server's dispatch-time decision.
-    let class = ctx.tracker.classify(&route.name);
-    let kind = match class {
+    let kind = match ctx.tracker.classify(&route.name) {
         RequestClass::Quick => RequestKind::QuickDynamic,
         RequestClass::Lengthy => RequestKind::LengthyDynamic,
     };
@@ -466,21 +177,11 @@ fn process_request(
     ctx.tracker.record(&route.name, started.elapsed());
     let response = match outcome {
         Ok(PageOutcome::Body(resp)) => resp,
-        Ok(PageOutcome::Template { name, context }) => {
-            // Same pooled-buffer render path as the staged server's
-            // render workers, so the model comparison stays fair.
-            let mut buf = staged_http::BufferPool::global().get();
-            match ctx.app.templates().render_into(&name, &context, &mut buf) {
-                Ok(()) => {
-                    ctx.app.charge_render(buf.len());
-                    Response::html(buf.freeze())
-                }
-                Err(_) => {
-                    ctx.stats.errors.increment();
-                    Response::error(StatusCode::INTERNAL_SERVER_ERROR)
-                }
-            }
-        }
+        // Same pooled-buffer render path as the staged server's render
+        // workers, so the model comparison stays fair.
+        Ok(PageOutcome::Template { name, context }) => match ctx.render(&name, &context) {
+            Ok(page) | Err(page) => page,
+        },
         Err(e) if e.is_unavailable() => {
             // Transient resource failure (open breaker, dead
             // connection, starved pool): 503, retryable — not the 500 a
@@ -496,64 +197,4 @@ fn process_request(
         }
     };
     (response, kind)
-}
-
-/// Merges pattern captures into the request's parameter list (captures
-/// are appended, so query parameters of the same name win).
-pub(crate) fn merge_captures(request: &Request, captures: &staged_http::RouteParams) -> Request {
-    let mut merged = request.clone();
-    merged
-        .params
-        .extend(captures.iter().map(|(k, v)| (k.to_string(), v.to_string())));
-    merged
-}
-
-/// Runs a route handler, converting panics into errors so the worker
-/// thread (and its database connection) survives.
-pub(crate) fn run_handler(
-    route: &crate::app::Route,
-    request: &Request,
-    db_conn: &PooledConnection,
-    stats: &ServerStats,
-) -> Result<PageOutcome, AppError> {
-    // Tag the connection with the page it is serving so every statement
-    // the handler runs is attributed to it on `/debug/explain`.
-    db_conn.set_route(Some(&route.name));
-    let result = match panic::catch_unwind(AssertUnwindSafe(|| (route.handler)(request, db_conn))) {
-        Ok(result) => result,
-        Err(_) => {
-            stats.handler_panics.increment();
-            Err(AppError::handler("handler panicked"))
-        }
-    };
-    db_conn.set_route(None);
-    result
-}
-
-/// Runs a route handler through the worker's [`DbSlot`]: a request that
-/// fails because the slot's connection died is retried **once** on a
-/// freshly checked-out connection; pool starvation (and a second loss)
-/// surfaces as [`AppError::Unavailable`] for a `503`.
-pub(crate) fn run_handler_with_slot(
-    route: &crate::app::Route,
-    request: &Request,
-    slot: &mut DbSlot,
-    stats: &ServerStats,
-) -> Result<PageOutcome, AppError> {
-    for attempt in 0..2 {
-        let Some(db_conn) = slot.conn() else {
-            stats.pool_starved.increment();
-            return Err(AppError::Unavailable("database pool starved".into()));
-        };
-        let result = run_handler(route, request, db_conn, stats);
-        match &result {
-            Err(e) if e.is_unavailable() && attempt == 0 => {
-                // The connection died mid-request; discard it and retry
-                // on a fresh one.
-                slot.invalidate();
-            }
-            _ => return result,
-        }
-    }
-    unreachable!("the second attempt always returns");
 }

@@ -118,8 +118,8 @@ fn gauge_coords(name: &str) -> (&'static str, Vec<(&'static str, &str)>) {
 }
 
 impl ServerHandle {
-    // A private constructor with one caller per server; a builder would
-    // be ceremony without benefit.
+    // A private constructor with one caller (the shared front); a
+    // builder would be ceremony without benefit.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         addr: SocketAddr,

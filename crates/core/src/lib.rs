@@ -2,9 +2,13 @@
 //!
 //! This crate is the reproduction of the DSN 2009 paper *Efficient
 //! Resource Management on Template-based Web Servers* (Courtwright, Yue,
-//! Wang). It provides **two complete web servers** over the same
-//! application contract, so experiments change only the request
-//! processing model:
+//! Wang). It provides **two web servers** over the same application
+//! contract. They share one front — construction, the accept loop and
+//! connection admission, the admin endpoints, parse-failure and
+//! overload responses, the keep-alive budget, drain-aware shutdown, and
+//! the handler, static and render steps — and each supplies only its
+//! scheduling: its queues and the workers that drain them. So by
+//! construction, experiments change only the request processing model:
 //!
 //! * [`BaselineServer`] — the conventional **thread-per-request** model
 //!   (paper Figure 4): one listener, one worker pool, every worker owns
@@ -59,6 +63,7 @@ mod baseline;
 mod config;
 mod doccache;
 mod error;
+mod front;
 mod governor;
 mod handle;
 mod health;

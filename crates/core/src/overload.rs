@@ -188,6 +188,11 @@ impl RetryEstimator {
         }
     }
 
+    /// The queued backlog the advice divides by the drain rate.
+    pub(crate) fn depth(&self) -> usize {
+        (self.depth)()
+    }
+
     /// The current `Retry-After` advice.
     pub(crate) fn advise(&self) -> Duration {
         let now = Instant::now();
@@ -210,7 +215,7 @@ impl RetryEstimator {
             return self.floor;
         }
         let rate = (total - first_total) as f64 / elapsed.as_secs_f64();
-        let depth = (self.depth)() as f64;
+        let depth = self.depth() as f64;
         let estimate = Duration::from_secs_f64((depth / rate).max(0.0));
         estimate.clamp(self.floor, MAX_RETRY_AFTER)
     }

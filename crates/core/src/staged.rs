@@ -14,32 +14,32 @@
 //! server's [`Registry`] (exported on `GET /metrics`); the slowest
 //! served traces are kept in a bounded ring (`GET /debug/traces`).
 
+//!
+//! Everything outside scheduling — construction, the accept loop,
+//! admin endpoints, parse-failure and overload responses, drain-aware
+//! shutdown — is the front both models share (`crate::front`).
+
 use crate::app::{App, PageOutcome};
-use crate::baseline::run_handler_with_slot;
 use crate::config::ServerConfig;
 use crate::doccache::{DocCache, Lookup};
-use crate::governor::{ConnectionGovernor, GovernedStream};
-use crate::handle::{FaultFn, ServerHandle, ShutdownError};
-use crate::health::{self, HealthView, Readiness};
-use crate::overload::{overload_response, ChaosAction, DbSlot, RetryEstimator};
-use crate::scheduler::{RequestClass, ReserveController, ServiceTimeTracker};
-use crate::stale::{self, StaleCache};
-use crate::stats::{RequestKind, ServerStats, ShedPoint};
-use staged_db::{CircuitBreaker, ConnectionPool, Database, ReadSet};
-use staged_http::{
-    Connection, HeaderMap, HttpError, Method, Request, RequestLine, Response, StatusCode,
+use crate::front::{
+    is_admin, merge_captures, register_pool, register_stage, run_handler_with_slot, Conn, Front,
+    Sent,
 };
-use staged_metrics::{Registry, Stage, Trace, TraceEvent, TraceHub, TraceOutcome};
+use crate::handle::ServerHandle;
+use crate::overload::{overload_response, DbSlot};
+use crate::scheduler::{DynamicPoolChoice, RequestClass, ReserveController, ServiceTimeTracker};
+use crate::stale::{self, StaleCache};
+use crate::stats::{RequestKind, ShedPoint};
+use staged_db::{Database, ReadSet};
+use staged_http::{HttpError, Method, Request, RequestLine, Response, StatusCode};
+use staged_metrics::{Registry, Stage, Trace, TraceEvent, TraceOutcome};
 use staged_pool::{PoolConfig, PoolStats, PushError, SyncQueue, WorkerPool};
-use staged_sync::atomic::{AtomicBool, Ordering};
 use staged_templates::Context;
 use std::cell::RefCell;
 use std::io;
-use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-type Conn = Connection<GovernedStream>;
+use std::time::Instant;
 
 thread_local! {
     /// Per-thread scratch for normalized cache keys. Reused across
@@ -114,10 +114,9 @@ struct RenderJob {
     trace: Trace,
 }
 
-struct Shared {
-    app: App,
-    stats: Arc<ServerStats>,
-    tracker: Arc<ServiceTimeTracker>,
+/// The staged model's own state: the five pools' queues (six with the
+/// render split), the Table 1 scheduler, and the response caches.
+struct Stages {
     controller: Arc<ReserveController>,
     header_q: Arc<SyncQueue<TimedConn>>,
     static_q: Arc<SyncQueue<StaticJob>>,
@@ -128,7 +127,7 @@ struct Shared {
     /// paper's §3.3 suggested extension).
     render_lengthy_q: Option<Arc<SyncQueue<RenderJob>>>,
     /// Per-template render-time tracker for the render split.
-    render_tracker: Arc<ServiceTimeTracker>,
+    render_tracker: ServiceTimeTracker,
     general_size: usize,
     /// Pool-stats handles, held so stage handoffs (raw queue pushes,
     /// not `WorkerPool::try_submit`) can still charge capacity
@@ -139,10 +138,6 @@ struct Shared {
     lengthy_stats: Arc<PoolStats>,
     render_stats: Arc<PoolStats>,
     render_lengthy_stats: Option<Arc<PoolStats>>,
-    /// Per-request time budget (`None` disables deadline checking).
-    budget: Option<Duration>,
-    /// Adaptive `Retry-After` advice for shed responses.
-    retry: RetryEstimator,
     /// Stale copies of successful renders — the degradation ladder's
     /// middle rung (fresh → stale → shed). `Arc`-shared with the
     /// database write observer, which evicts entries a write touched.
@@ -151,27 +146,9 @@ struct Shared {
     /// [`ServerConfig::doc_cache`] is on. Hits are served from the
     /// header stage without touching the dynamic or render pools.
     doc_cache: Option<Arc<DocCache>>,
-    /// Lifecycle phase, served by `/readyz`.
-    readiness: Arc<Readiness>,
-    /// The database circuit breaker (shared with the connection pool),
-    /// surfaced in the health payloads.
-    breaker: Option<Arc<CircuitBreaker>>,
-    /// The one metrics surface: `/metrics`, `/healthz`, and the handle
-    /// all read from here.
-    registry: Arc<Registry>,
-    /// Trace pool + slow ring; every request's trace starts here.
-    trace_hub: TraceHub,
-    /// Connection-admission caps (global/per-IP concurrency, keep-alive
-    /// quotas, idle harvesting).
-    governor: ConnectionGovernor,
-    /// The database, kept for the health payload's durability section
-    /// (`durability_status()` answers `None` on in-memory databases,
-    /// which keeps the section out of the payload).
-    db: Arc<Database>,
-    /// Set when shutdown begins: keep-alive connections are no longer
-    /// requeued, so in-flight requests finish and the stages run dry.
-    draining: AtomicBool,
 }
+
+type Shared = Front<Stages>;
 
 impl Shared {
     /// The live `t_spare`: idle threads in the general dynamic pool.
@@ -182,22 +159,39 @@ impl Shared {
     /// and spill onto the general pool together, starving the quick
     /// traffic the reserve exists to protect.
     fn tspare(&self) -> usize {
-        let busy = usize::try_from(self.general_stats.busy.value().max(0)).unwrap_or(0);
-        self.general_size
+        let m = &self.model;
+        let busy = usize::try_from(m.general_stats.busy.value().max(0)).unwrap_or(0);
+        m.general_size
             .saturating_sub(busy)
-            .saturating_sub(self.general_q.len())
+            .saturating_sub(m.general_q.len())
     }
 
     /// Whether dynamic workers should collect read sets for cacheable
     /// requests: some consumer (document cache or stale ladder) will
     /// tag entries with them.
     fn track_reads(&self) -> bool {
-        self.doc_cache.is_some() || self.stale.enabled()
+        self.model.doc_cache.is_some() || self.model.stale.enabled()
     }
 
-    /// Sends a response (honouring `HEAD`) and either requeues the
-    /// connection for its next request or drops it. The trace reaches
-    /// its terminal outcome here: `Served` on a delivered response,
+    /// Wraps a connection for the header queue with a fresh trace. A
+    /// keep-alive connection gets one per request; if it then closes
+    /// cleanly without sending one, that trace is dropped unfinished (no
+    /// response was owed).
+    fn timed(&self, conn: Conn) -> TimedConn {
+        let hub = self.traces.as_ref().expect("the staged server is traced");
+        let mut trace = hub.start();
+        trace.enqueued(Stage::Parse);
+        TimedConn {
+            conn,
+            arrived: Instant::now(),
+            trace,
+        }
+    }
+
+    /// Sends a response and requeues the connection for its next
+    /// request when the front says it may carry one. The trace reaches
+    /// its terminal outcome here: `Served` (`Probe` for the admin
+    /// endpoints, which pass no `kind`) on a delivered response,
     /// `Dropped` when the client went away mid-write.
     #[allow(clippy::too_many_arguments)]
     fn finish(
@@ -206,51 +200,25 @@ impl Shared {
         method: Method,
         response: &Response,
         keep_alive: bool,
-        kind: RequestKind,
+        kind: Option<RequestKind>,
         trace: Trace,
         page: Option<&str>,
     ) {
-        if conn.send_for_method(method, response).is_err() {
-            self.stats.dropped_connections.increment();
-            trace.finish(TraceOutcome::Dropped, page);
-            return;
-        }
-        self.stats.record_completion(kind);
-        trace.finish(TraceOutcome::Served, page);
-        self.requeue(conn, keep_alive);
-    }
-
-    /// Requeues a keep-alive connection for its next request — unless
-    /// the server is draining, in which case the connection is dropped
-    /// after its (already sent) response so the stages can run dry.
-    ///
-    /// The next request gets a fresh trace; if the connection then
-    /// closes cleanly without sending one, that trace finishes as
-    /// `Dropped` (no response was owed).
-    fn requeue(&self, mut conn: Conn, keep_alive: bool) {
-        if !keep_alive || self.draining.load(Ordering::Acquire) {
-            return;
-        }
-        // Keep-alive lifecycle caps: a connection that has served its
-        // request quota — or any idle connection while open connections
-        // sit at the governor's harvest watermark — is closed instead of
-        // requeued, freeing its admission slot for a new peer.
-        let served = conn.stream_mut().count_served();
-        if self.governor.keepalive_exhausted(served) || self.governor.harvest_idle() {
-            return;
-        }
-        let mut trace = self.trace_hub.start();
-        trace.enqueued(Stage::Parse);
-        let timed = TimedConn {
-            conn,
-            arrived: Instant::now(),
-            trace,
+        let sent = self.respond(&mut conn, method, response, keep_alive, kind);
+        let outcome = match (sent, kind) {
+            (Sent::Dropped, _) => TraceOutcome::Dropped,
+            (_, Some(_)) => TraceOutcome::Served,
+            (_, None) => TraceOutcome::Probe,
         };
-        if let Err(PushError::Full(timed)) = self.header_q.try_push(timed) {
+        trace.finish(outcome, page);
+        if sent != Sent::Reuse {
+            return;
+        }
+        if let Err(PushError::Full(timed)) = self.model.header_q.try_push(self.timed(conn)) {
             // The parse stage is saturated; dropping an idle
             // keep-alive connection is cheaper than any request it
             // might send later.
-            self.header_stats.rejected.increment();
+            self.model.header_stats.rejected.increment();
             self.stats.record_shed(ShedPoint::KeepAlive);
             let mut trace = timed.trace;
             trace.note(TraceEvent::Shed);
@@ -258,217 +226,10 @@ impl Shared {
         }
     }
 
-    /// Serves `/healthz` or `/readyz` from the header stage. Health
-    /// probes are not completions: monitoring traffic must not skew the
-    /// goodput series the experiments plot.
-    fn serve_health(
-        &self,
-        mut conn: Conn,
-        method: Method,
-        path: &str,
-        keep_alive: bool,
-        trace: Trace,
-    ) {
-        let response = self.health_response(path);
-        if conn.send_for_method(method, &response).is_err() {
-            self.stats.dropped_connections.increment();
-            trace.finish(TraceOutcome::Dropped, None);
-            return;
-        }
-        trace.finish(TraceOutcome::Probe, None);
-        let closed = response
-            .headers()
-            .get("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        self.requeue(conn, keep_alive && !closed);
-    }
-
-    /// Serves `/metrics` (Prometheus text exposition), `/debug/traces`
-    /// (the slow-trace ring as JSON), or `/debug/explain` (query-plan
-    /// trees per route). Like health probes, these are not completions.
-    fn serve_observability(
-        &self,
-        mut conn: Conn,
-        method: Method,
-        path: &str,
-        route: Option<&str>,
-        keep_alive: bool,
-        trace: Trace,
-    ) {
-        let response = if path == "/metrics" {
-            Response::metrics_text(self.registry.encode_prometheus())
-        } else if path == "/debug/explain" {
-            health::explain_response(&self.db, route)
-        } else {
-            Response::with_content_type("application/json", self.trace_hub.traces_json())
-        };
-        if conn.send_for_method(method, &response).is_err() {
-            self.stats.dropped_connections.increment();
-            trace.finish(TraceOutcome::Dropped, None);
-            return;
-        }
-        trace.finish(TraceOutcome::Probe, None);
-        self.requeue(conn, keep_alive);
-    }
-
-    /// Builds the health payload from the metrics registry (the same
-    /// families `/metrics` exports, so the two surfaces cannot
-    /// disagree).
-    fn health_response(&self, path: &str) -> Response {
-        let view = HealthView {
-            phase: self.readiness.phase(),
-            breaker: self.breaker.as_deref(),
-            registry: &self.registry,
-            durability: self.db.durability_status(),
-        };
-        if path == "/readyz" {
-            view.readyz(self.retry.advise())
-        } else {
-            view.healthz()
-        }
-    }
-
-    /// Sheds a request with the well-formed `503` and closes the
-    /// connection. Sheds are not completions: goodput counts only
-    /// requests actually served.
-    fn shed(&self, mut conn: Conn, method: Method, point: ShedPoint, mut trace: Trace) {
-        self.stats.record_shed(point);
-        trace.note(TraceEvent::Shed);
-        if conn
-            .send_for_method(method, &overload_response(self.retry.advise()))
-            .is_err()
-        {
-            self.stats.dropped_connections.increment();
-        } else {
-            // The request may be partly (or wholly) unread; drain it so
-            // closing doesn't RST the 503 away.
-            crate::overload::drain_before_close(conn.stream_mut().tcp());
-        }
-        trace.finish(TraceOutcome::Shed, None);
-    }
-
-    /// Answers a request whose deadline already passed with a `503` and
-    /// closes the connection (the client has almost certainly given up;
-    /// serving it would waste a saturated stage's time).
-    fn expire(&self, mut conn: Conn, method: Method, trace: Trace) {
-        self.stats.deadline_expired.increment();
-        if conn
-            .send_for_method(method, &overload_response(self.retry.advise()))
-            .is_err()
-        {
-            self.stats.dropped_connections.increment();
-        } else {
-            crate::overload::drain_before_close(conn.stream_mut().tcp());
-        }
-        trace.finish(TraceOutcome::Expired, None);
-    }
-
     /// `true` when a stamped deadline has passed.
     fn expired(deadline: Option<Instant>) -> bool {
         deadline.is_some_and(|d| Instant::now() > d)
     }
-}
-
-/// Registers a stage queue's observability: its depth gauge
-/// (`stage_queue_depth{stage=…}`) and its wait histogram
-/// (`stage_queue_wait_seconds{stage=…}`, recorded by the queue itself
-/// on every pop).
-pub(crate) fn register_stage<T: Send + 'static>(
-    registry: &Registry,
-    stage: &'static str,
-    q: &Arc<SyncQueue<T>>,
-) {
-    let depth = Arc::clone(q);
-    registry.gauge_fn("stage_queue_depth", &[("stage", stage)], move || {
-        depth.len() as f64
-    });
-    q.set_wait_histogram(registry.histogram("stage_queue_wait_seconds", &[("stage", stage)]));
-}
-
-/// Registers a worker pool's counters
-/// (`pool_{completed,panics,rejected}_total{pool=…}`), its busy gauge
-/// (`pool_busy_workers{pool=…}`), and its service-time histogram
-/// (`stage_service_seconds{stage=…}`).
-pub(crate) fn register_pool(
-    registry: &Registry,
-    pool: &'static str,
-    stage: &'static str,
-    stats: &Arc<PoolStats>,
-) {
-    let s = Arc::clone(stats);
-    registry.counter_fn("pool_completed_total", &[("pool", pool)], move || {
-        s.completed.value()
-    });
-    let s = Arc::clone(stats);
-    registry.counter_fn("pool_panics_total", &[("pool", pool)], move || {
-        s.panicked.value()
-    });
-    let s = Arc::clone(stats);
-    registry.counter_fn("pool_rejected_total", &[("pool", pool)], move || {
-        s.rejected.value()
-    });
-    let s = Arc::clone(stats);
-    registry.gauge_fn("pool_busy_workers", &[("pool", pool)], move || {
-        s.busy.value().max(0) as f64
-    });
-    registry.register_histogram(
-        "stage_service_seconds",
-        &[("stage", stage)],
-        Arc::clone(&stats.service),
-    );
-}
-
-/// Attaches durability to `db` when the configuration asks for it (and
-/// the database isn't already durable, as one opened via
-/// [`Database::open`] is), then registers the WAL metric families:
-/// `wal_appends_total`, `wal_bytes_total`, `checkpoints_total`,
-/// `recovery_replayed_records`, and the `wal_fsync_seconds` histogram
-/// fed by the group-commit leader.
-pub(crate) fn setup_durability(
-    config: &ServerConfig,
-    registry: &Registry,
-    db: &Arc<Database>,
-) -> io::Result<()> {
-    let Some(durability) = &config.durability else {
-        return Ok(());
-    };
-    if db.durability_status().is_none() {
-        db.enable_durability(durability.clone())
-            .map_err(io::Error::other)?;
-    }
-    let stat = |db: &Arc<Database>, f: fn(staged_db::WalStats) -> u64| {
-        let db = Arc::clone(db);
-        move || db.wal_stats().map_or(0, f)
-    };
-    registry.counter_fn("wal_appends_total", &[], stat(db, |w| w.appends));
-    registry.counter_fn("wal_bytes_total", &[], stat(db, |w| w.bytes));
-    let d = Arc::clone(db);
-    registry.counter_fn("checkpoints_total", &[], move || {
-        d.durability_status().map_or(0, |s| s.checkpoints)
-    });
-    let d = Arc::clone(db);
-    registry.gauge_fn("recovery_replayed_records", &[], move || {
-        d.durability_status().map_or(0.0, |s| s.replay_count as f64)
-    });
-    let fsync = registry.histogram("wal_fsync_seconds", &[]);
-    db.set_fsync_observer(move |elapsed| fsync.record(elapsed));
-    Ok(())
-}
-
-/// The final durability step of a graceful shutdown: once every pool is
-/// drained and joined, write a checkpoint so the next open replays
-/// nothing. Called with no server activity left; surfacing the error is
-/// the point (a swallowed checkpoint failure turns "cleanly stopped"
-/// into replay-on-next-open at best, data loss at worst).
-pub(crate) fn shutdown_checkpoint(db: &Database) -> Result<(), ShutdownError> {
-    let Some(status) = db.durability_status() else {
-        return Ok(());
-    };
-    if !status.checkpoint_on_shutdown {
-        return Ok(());
-    }
-    db.checkpoint()
-        .map_err(|e| ShutdownError::new(format!("final checkpoint failed: {e}")))
 }
 
 /// Registers the document-cache metric families:
@@ -492,29 +253,6 @@ pub(crate) fn register_doc_cache(registry: &Registry, cache: &Arc<DocCache>) {
     }
     let c = Arc::clone(cache);
     registry.gauge_fn("doc_cache_entries", &[], move || c.len() as f64);
-}
-
-/// Pre-creates the `db_plan_node_seconds{node=…}` histogram family for
-/// every plan-node kind and installs the planner's per-node timing
-/// observer feeding it. Pre-creation keeps the whole family visible in
-/// `/metrics` from the first scrape; the observer itself only does a
-/// slice scan and a histogram record (it runs after the database has
-/// released every lock, but still on the query's thread).
-pub(crate) fn register_plan_observer(registry: &Registry, db: &Arc<Database>) {
-    let hists: Vec<(&'static str, Arc<staged_metrics::Histogram>)> = staged_db::PLAN_NODE_KINDS
-        .iter()
-        .map(|kind| {
-            (
-                *kind,
-                registry.histogram("db_plan_node_seconds", &[("node", kind)]),
-            )
-        })
-        .collect();
-    db.set_plan_observer(move |node, elapsed| {
-        if let Some((_, h)) = hists.iter().find(|(k, _)| *k == node) {
-            h.record(elapsed);
-        }
-    });
 }
 
 /// Invalidates both response caches for one write event, document cache
@@ -541,19 +279,6 @@ pub(crate) fn invalidate_caches(
             dc.invalidate(event);
         }
         sc.invalidate(event);
-    });
-}
-
-/// Registers the per-page data-generation collector
-/// (`page_service_seconds{page=…}`, the scheduler's classification
-/// input as a running average).
-pub(crate) fn register_page_tracker(registry: &Registry, tracker: &Arc<ServiceTimeTracker>) {
-    let t = Arc::clone(tracker);
-    registry.gauge_collector("page_service_seconds", "page", move || {
-        t.snapshot()
-            .into_iter()
-            .map(|(page, avg, _count)| (page, avg.as_secs_f64()))
-            .collect()
     });
 }
 
@@ -594,49 +319,6 @@ impl StagedServer {
     /// Panics if `config` is inconsistent (see
     /// [`ServerConfig::validate`]).
     pub fn start(config: ServerConfig, app: App, db: Arc<Database>) -> io::Result<ServerHandle> {
-        config.validate();
-        let listener = TcpListener::bind(config.addr)?;
-        let addr = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::new(config.stats_bucket));
-        let tracker = Arc::new(ServiceTimeTracker::new(config.lengthy_cutoff));
-        let controller = Arc::new(ReserveController::with_max(
-            config.min_reserve,
-            config.max_reserve,
-        ));
-        let registry = Arc::new(Registry::new());
-        let trace_hub = TraceHub::new(&registry, config.trace_ring);
-        let governor = ConnectionGovernor::new(config.governor);
-        governor.register_into(&registry);
-        setup_durability(&config, &registry, &db)?;
-        let durable_db = Arc::clone(&db);
-        let connections = ConnectionPool::new(db, config.db_connections);
-        connections.set_fault_plan(config.fault_plan);
-        connections.set_breaker(config.breaker);
-        let breaker = connections.breaker();
-        let fault_pool = connections.clone();
-        let set_fault: FaultFn = Arc::new(move |plan| fault_pool.set_fault_plan(plan));
-        let readiness = Arc::new(Readiness::new());
-
-        let stale = Arc::new(StaleCache::new(config.stale_ttl, config.stale_capacity));
-        let doc_cache = config.doc_cache.then(|| {
-            Arc::new(DocCache::new(
-                config.doc_cache_ttl,
-                config.doc_cache_capacity,
-            ))
-        });
-        // The invalidation engine: every committed mutation evicts
-        // dependent entries from the document cache and the stale
-        // ladder (rank 118 before rank 120). The observer deliberately
-        // captures only the two caches — capturing the shared server
-        // context would create an Arc cycle through the database.
-        if doc_cache.is_some() || config.stale_capacity > 0 {
-            let dc = doc_cache.clone();
-            let sc = Arc::clone(&stale);
-            durable_db.set_write_observer(move |event| {
-                invalidate_caches(dc.as_deref(), &sc, event);
-            });
-        }
-
         let header_q = Arc::new(SyncQueue::<TimedConn>::bounded(config.header_queue_bound()));
         let static_q = Arc::new(SyncQueue::<StaticJob>::bounded(config.static_queue_bound()));
         let general_q = Arc::new(SyncQueue::<DynJob>::bounded(config.general_queue_bound()));
@@ -645,142 +327,132 @@ impl StagedServer {
         let render_lengthy_q = config
             .split_render
             .then(|| Arc::new(SyncQueue::<RenderJob>::bounded(config.render_queue_bound())));
-        let render_tracker = Arc::new(ServiceTimeTracker::new(config.render_cutoff));
-
-        // Every pool's stats block is created up front so the shared
-        // context can charge handoff rejections to the right pool (and
-        // carry the general pool's busy gauge, the t_spare signal).
-        let header_pool_stats = Arc::new(PoolStats::default());
-        let static_pool_stats = Arc::new(PoolStats::default());
-        let general_pool_stats = Arc::new(PoolStats::default());
-        let lengthy_pool_stats = Arc::new(PoolStats::default());
-        let render_pool_stats = Arc::new(PoolStats::default());
-        let render_lengthy_pool_stats = config.split_render.then(|| Arc::new(PoolStats::default()));
-
-        // Adaptive Retry-After: backlog across every stage divided by
+        // Every pool's stats block is created up front so handoffs can
+        // charge rejections to the right pool (and the general pool's
+        // busy gauge can carry the t_spare signal).
+        let header_stats = Arc::new(PoolStats::default());
+        let static_stats = Arc::new(PoolStats::default());
+        let general_stats = Arc::new(PoolStats::default());
+        let lengthy_stats = Arc::new(PoolStats::default());
+        let render_stats = Arc::new(PoolStats::default());
+        let render_lengthy_stats = config.split_render.then(|| Arc::new(PoolStats::default()));
+        // Adaptive Retry-After divides the backlog across every stage by
         // the measured completion rate.
-        let retry = {
-            let hq = Arc::clone(&header_q);
-            let sq = Arc::clone(&static_q);
-            let gq = Arc::clone(&general_q);
-            let lq = Arc::clone(&lengthy_q);
-            let rq = Arc::clone(&render_q);
-            let rlq = render_lengthy_q.clone();
-            let st = Arc::clone(&stats);
-            RetryEstimator::new(
-                config.retry_after,
-                Box::new(move || {
-                    hq.len()
-                        + sq.len()
-                        + gq.len()
-                        + lq.len()
-                        + rq.len()
-                        + rlq.as_ref().map_or(0, |q| q.len())
-                }),
-                Box::new(move || st.total_completed()),
-            )
+        let depth = {
+            let queues = (
+                Arc::clone(&header_q),
+                Arc::clone(&static_q),
+                Arc::clone(&general_q),
+                Arc::clone(&lengthy_q),
+                Arc::clone(&render_q),
+                render_lengthy_q.clone(),
+            );
+            move || {
+                let (h, s, g, l, r, rl) = &queues;
+                h.len() + s.len() + g.len() + l.len() + r.len() + rl.as_ref().map_or(0, |q| q.len())
+            }
         };
-
-        let shared = Arc::new(Shared {
-            app,
-            stats: Arc::clone(&stats),
-            tracker: Arc::clone(&tracker),
-            controller: Arc::clone(&controller),
+        let stale = Arc::new(StaleCache::new(config.stale_ttl, config.stale_capacity));
+        let doc_cache = config.doc_cache.then(|| {
+            Arc::new(DocCache::new(
+                config.doc_cache_ttl,
+                config.doc_cache_capacity,
+            ))
+        });
+        let model = Stages {
+            controller: Arc::new(ReserveController::with_max(
+                config.min_reserve,
+                config.max_reserve,
+            )),
             header_q: Arc::clone(&header_q),
             static_q: Arc::clone(&static_q),
             general_q: Arc::clone(&general_q),
             lengthy_q: Arc::clone(&lengthy_q),
             render_q: Arc::clone(&render_q),
             render_lengthy_q: render_lengthy_q.clone(),
-            render_tracker: Arc::clone(&render_tracker),
+            render_tracker: ServiceTimeTracker::new(config.render_cutoff),
             general_size: config.general_workers,
-            header_stats: Arc::clone(&header_pool_stats),
-            static_stats: Arc::clone(&static_pool_stats),
-            general_stats: Arc::clone(&general_pool_stats),
-            lengthy_stats: Arc::clone(&lengthy_pool_stats),
-            render_stats: Arc::clone(&render_pool_stats),
-            render_lengthy_stats: render_lengthy_pool_stats.clone(),
-            budget: config.request_deadline,
-            retry,
-            stale,
+            header_stats: Arc::clone(&header_stats),
+            static_stats: Arc::clone(&static_stats),
+            general_stats: Arc::clone(&general_stats),
+            lengthy_stats: Arc::clone(&lengthy_stats),
+            render_stats: Arc::clone(&render_stats),
+            render_lengthy_stats: render_lengthy_stats.clone(),
+            stale: Arc::clone(&stale),
             doc_cache: doc_cache.clone(),
-            readiness: Arc::clone(&readiness),
-            breaker: breaker.clone(),
-            registry: Arc::clone(&registry),
-            trace_hub: trace_hub.clone(),
-            governor,
-            db: Arc::clone(&durable_db),
-            draining: AtomicBool::new(false),
-        });
+        };
+        let observed_db = Arc::clone(&db);
+        let (front, bound) = Front::bind(&config, app, db, true, model, depth)?;
 
-        // Populate the registry: stage depth gauges + wait histograms,
-        // per-pool counters + service histograms, scheduler gauges, the
-        // server counters, and the per-page service collector. This is
-        // the whole `/metrics` surface.
-        register_stage(&registry, "header", &header_q);
-        register_stage(&registry, "static", &static_q);
-        register_stage(&registry, "general", &general_q);
-        register_stage(&registry, "lengthy", &lengthy_q);
-        register_stage(&registry, "render", &render_q);
+        // The invalidation engine: every committed mutation evicts
+        // dependent entries from the document cache and the stale
+        // ladder (rank 118 before rank 120). The observer deliberately
+        // captures only the two caches — capturing the shared server
+        // context would create an Arc cycle through the database.
+        if doc_cache.is_some() || config.stale_capacity > 0 {
+            let dc = doc_cache.clone();
+            observed_db.set_write_observer(move |event| {
+                invalidate_caches(dc.as_deref(), &stale, event);
+            });
+        }
+
+        // The staged model's part of the `/metrics` surface: stage depth
+        // gauges + wait histograms, per-pool counters + service
+        // histograms, the scheduler gauges, and the document cache.
+        let registry = &front.registry;
+        register_stage(registry, "header", &header_q);
+        register_stage(registry, "static", &static_q);
+        register_stage(registry, "general", &general_q);
+        register_stage(registry, "lengthy", &lengthy_q);
+        register_stage(registry, "render", &render_q);
         if let Some(q) = &render_lengthy_q {
-            register_stage(&registry, "render-lengthy", q);
+            register_stage(registry, "render-lengthy", q);
         }
-        register_pool(&registry, "header-parsing", "header", &header_pool_stats);
-        register_pool(&registry, "static", "static", &static_pool_stats);
-        register_pool(&registry, "general-dynamic", "general", &general_pool_stats);
-        register_pool(&registry, "lengthy-dynamic", "lengthy", &lengthy_pool_stats);
-        register_pool(&registry, "render", "render", &render_pool_stats);
-        if let Some(s) = &render_lengthy_pool_stats {
-            register_pool(&registry, "render-lengthy", "render-lengthy", s);
+        register_pool(registry, "header-parsing", "header", &header_stats);
+        register_pool(registry, "static", "static", &static_stats);
+        register_pool(registry, "general-dynamic", "general", &general_stats);
+        register_pool(registry, "lengthy-dynamic", "lengthy", &lengthy_stats);
+        register_pool(registry, "render", "render", &render_stats);
+        if let Some(s) = &render_lengthy_stats {
+            register_pool(registry, "render-lengthy", "render-lengthy", s);
         }
-        stats.register_into(&registry);
-        {
-            let s = Arc::clone(&shared);
-            registry.gauge_fn("scheduler_t_spare", &[], move || s.tspare() as f64);
-        }
-        {
-            let c = Arc::clone(&controller);
-            registry.gauge_fn("scheduler_t_reserve", &[], move || c.reserve() as f64);
-        }
-        register_page_tracker(&registry, &tracker);
-        register_plan_observer(&registry, &durable_db);
+        let controller = Arc::clone(&front.model.controller);
+        registry.gauge_fn("scheduler_t_reserve", &[], move || {
+            controller.reserve() as f64
+        });
         if let Some(dc) = &doc_cache {
-            register_doc_cache(&registry, dc);
+            register_doc_cache(registry, dc);
         }
+        let shared = Arc::new(front);
+        let s = Arc::clone(&shared);
+        shared
+            .registry
+            .gauge_fn("scheduler_t_spare", &[], move || s.tspare() as f64);
 
-        let db_acquire_timeout = config.db_acquire_timeout;
-        let db_acquire_retries = config.db_acquire_retries;
         let s = Arc::clone(&shared);
         let general_pool = WorkerPool::with_parts(
-            Arc::clone(&general_q),
-            Arc::clone(&general_pool_stats),
+            general_q,
+            general_stats,
             PoolConfig::new("general-dynamic", config.general_workers),
-            |_| DbSlot::new(&connections, db_acquire_timeout, db_acquire_retries),
-            move |slot: &mut DbSlot, job: DynJob| {
-                dynamic_worker(&s, slot, job);
-            },
+            |_| bound.db_slot(),
+            move |slot: &mut DbSlot, job: DynJob| dynamic_worker(&s, slot, job),
         );
-
         let s = Arc::clone(&shared);
         let lengthy_pool = WorkerPool::with_parts(
-            Arc::clone(&lengthy_q),
-            Arc::clone(&lengthy_pool_stats),
+            lengthy_q,
+            lengthy_stats,
             PoolConfig::new("lengthy-dynamic", config.lengthy_workers),
-            |_| DbSlot::new(&connections, db_acquire_timeout, db_acquire_retries),
-            move |slot: &mut DbSlot, job: DynJob| {
-                dynamic_worker(&s, slot, job);
-            },
+            |_| bound.db_slot(),
+            move |slot: &mut DbSlot, job: DynJob| dynamic_worker(&s, slot, job),
         );
-
         let s = Arc::clone(&shared);
         let static_pool = WorkerPool::with_parts(
-            Arc::clone(&static_q),
-            Arc::clone(&static_pool_stats),
+            static_q,
+            static_stats,
             PoolConfig::new("static", config.static_workers),
             |_| (),
             move |_, job: StaticJob| static_worker(&s, job),
         );
-
         // With the render split on, a quarter of the render workers (at
         // least one) form the lengthy-render pool.
         let lengthy_render_workers = if config.split_render {
@@ -791,29 +463,28 @@ impl StagedServer {
         let general_render_workers = (config.render_workers - lengthy_render_workers).max(1);
         let s = Arc::clone(&shared);
         let render_pool = WorkerPool::with_parts(
-            Arc::clone(&render_q),
-            Arc::clone(&render_pool_stats),
+            render_q,
+            render_stats,
             PoolConfig::new("render", general_render_workers),
             |_| (),
             move |_, job: RenderJob| render_worker(&s, job),
         );
-        let render_lengthy_pool = render_lengthy_q.as_ref().map(|q| {
-            let s = Arc::clone(&shared);
-            WorkerPool::with_parts(
-                Arc::clone(q),
-                render_lengthy_pool_stats
-                    .clone()
-                    .expect("render split stats exist with the queue"),
-                PoolConfig::new("render-lengthy", lengthy_render_workers),
-                |_| (),
-                move |_, job: RenderJob| render_worker(&s, job),
-            )
-        });
-
+        let render_lengthy_pool = render_lengthy_q
+            .zip(render_lengthy_stats)
+            .map(|(q, stats)| {
+                let s = Arc::clone(&shared);
+                WorkerPool::with_parts(
+                    q,
+                    stats,
+                    PoolConfig::new("render-lengthy", lengthy_render_workers),
+                    |_| (),
+                    move |_, job: RenderJob| render_worker(&s, job),
+                )
+            });
         let s = Arc::clone(&shared);
         let header_pool = WorkerPool::with_parts(
-            Arc::clone(&header_q),
-            Arc::clone(&header_pool_stats),
+            header_q,
+            header_stats,
             PoolConfig::new("header-parsing", config.header_workers),
             |_| (),
             move |_, timed: TimedConn| header_worker(&s, timed),
@@ -821,107 +492,17 @@ impl StagedServer {
 
         // Controller thread: the paper checks and modifies t_reserve
         // once per second; `controller_tick` is that period (scaled).
-        let stop = Arc::new(AtomicBool::new(false));
-        let ctl_stop = Arc::clone(&stop);
-        let ctl = Arc::clone(&controller);
-        let ctl_shared = Arc::clone(&shared);
+        let ctl = Arc::clone(&shared);
         let tick = config.controller_tick;
         let controller_thread = std::thread::Builder::new()
             .name("reserve-controller".to_string())
             .spawn(move || {
-                while !ctl_stop.load(Ordering::Acquire) {
+                while !ctl.is_draining() {
                     std::thread::sleep(tick);
-                    ctl.update(ctl_shared.tspare());
+                    ctl.model.controller.update(ctl.tspare());
                 }
             })
             .expect("failed to spawn controller thread");
-
-        // Listener thread. The enqueue is a non-blocking `try_push`:
-        // when the header queue is full the listener sheds the
-        // connection with a `503` instead of stalling the accept loop
-        // (which would just move the backlog into the kernel).
-        let listener_stop = Arc::clone(&stop);
-        let listen_shared = Arc::clone(&shared);
-        let listen_header_stats = Arc::clone(&header_pool_stats);
-        let limits = config.limits;
-        let read_timeout = config.read_timeout;
-        let write_timeout = config.write_timeout;
-        let chaos = config.chaos;
-        let listener_thread = std::thread::Builder::new()
-            .name("staged-listener".to_string())
-            .spawn(move || {
-                let mut conn_seq: u64 = 0;
-                for incoming in listener.incoming() {
-                    if listener_stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    match incoming {
-                        Ok(stream) => {
-                            let seq = conn_seq;
-                            conn_seq += 1;
-                            match chaos.map_or(ChaosAction::Pass, |c| c.decide(seq)) {
-                                ChaosAction::Pass => {}
-                                ChaosAction::Kill => {
-                                    listen_shared.stats.chaos_killed.increment();
-                                    drop(stream);
-                                    continue;
-                                }
-                                ChaosAction::Stall => {
-                                    listen_shared.stats.chaos_stalled.increment();
-                                    std::thread::sleep(chaos.expect("stall implies chaos").stall);
-                                }
-                            }
-                            let _ = stream.set_read_timeout(read_timeout);
-                            let _ = stream.set_write_timeout(write_timeout);
-                            // Admission control: over-cap connections are
-                            // turned away with the well-formed 503 +
-                            // Retry-After, not silently reset.
-                            let peer_ip = stream.peer_addr().ok().map(|a| a.ip());
-                            let stream = match listen_shared.governor.admit(peer_ip) {
-                                Ok(permit) => GovernedStream::new(stream, Some(permit)),
-                                Err(_) => {
-                                    let mut conn = Connection::with_limits(
-                                        GovernedStream::new(stream, None),
-                                        limits,
-                                    );
-                                    let resp = overload_response(listen_shared.retry.advise());
-                                    if conn.send(&resp).is_err() {
-                                        listen_shared.stats.dropped_connections.increment();
-                                    } else {
-                                        crate::overload::drain_before_close(
-                                            conn.stream_mut().tcp(),
-                                        );
-                                    }
-                                    continue;
-                                }
-                            };
-                            let conn = Connection::with_limits(stream, limits);
-                            let mut trace = listen_shared.trace_hub.start();
-                            trace.enqueued(Stage::Parse);
-                            let timed = TimedConn {
-                                conn,
-                                arrived: Instant::now(),
-                                trace,
-                            };
-                            match listen_shared.header_q.try_push(timed) {
-                                Ok(()) => {}
-                                Err(PushError::Full(timed)) => {
-                                    listen_header_stats.rejected.increment();
-                                    listen_shared.shed(
-                                        timed.conn,
-                                        Method::Get,
-                                        ShedPoint::Listener,
-                                        timed.trace,
-                                    );
-                                }
-                                Err(PushError::Closed(_)) => break,
-                            }
-                        }
-                        Err(_) => listen_shared.stats.dropped_connections.increment(),
-                    }
-                }
-            })
-            .expect("failed to spawn listener thread");
 
         // Legacy gauge names (`ServerHandle::gauge_names`), mapped onto
         // the registry's families by the handle's accessors.
@@ -931,93 +512,65 @@ impl StagedServer {
         .iter()
         .map(|s| (*s).to_string())
         .collect();
-        if render_lengthy_q.is_some() {
+        if shared.model.render_lengthy_q.is_some() {
             gauge_names.push("render-lengthy".to_string());
         }
 
-        // The listener is live: accepted connections will be served.
-        readiness.set_ready();
-
-        let drain_shared = Arc::clone(&shared);
-        let drain_deadline = config.drain_deadline;
-        let shutdown: crate::handle::ShutdownFn = Box::new(move || {
-            // Drain-aware shutdown: advertise not-ready, stop requeuing
-            // keep-alive connections, stop accepting — then let every
-            // already-accepted request finish before closing any stage.
-            drain_shared.readiness.set_draining();
-            drain_shared.draining.store(true, Ordering::Release);
-            stop.store(true, Ordering::Release);
-            let _ = TcpStream::connect(addr);
-            let _ = listener_thread.join();
-            let _ = controller_thread.join();
-            // Wait (bounded by `drain_deadline`) until every stage is
-            // idle: no queued jobs and no busy workers. Closing the
-            // queues upstream-first below also drains their backlogs,
-            // but only this wait covers jobs *between* stages (popped
-            // from one queue, not yet pushed to the next).
-            let deadline = Instant::now() + drain_deadline;
-            loop {
-                let queued = drain_shared.header_q.len()
-                    + drain_shared.static_q.len()
-                    + drain_shared.general_q.len()
-                    + drain_shared.lengthy_q.len()
-                    + drain_shared.render_q.len()
-                    + drain_shared
-                        .render_lengthy_q
-                        .as_ref()
-                        .map_or(0, |q| q.len());
-                let busy = drain_shared.header_stats.busy.value().max(0)
-                    + drain_shared.static_stats.busy.value().max(0)
-                    + drain_shared.general_stats.busy.value().max(0)
-                    + drain_shared.lengthy_stats.busy.value().max(0)
-                    + drain_shared.render_stats.busy.value().max(0)
-                    + drain_shared
-                        .render_lengthy_stats
-                        .as_ref()
-                        .map_or(0, |s| s.busy.value().max(0));
-                if (queued == 0 && busy == 0) || Instant::now() > deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // Drain stage by stage, upstream first.
-            header_pool.shutdown();
-            static_pool.shutdown();
-            general_pool.shutdown();
-            lengthy_pool.shutdown();
-            render_pool.shutdown();
-            if let Some(pool) = render_lengthy_pool {
-                pool.shutdown();
-            }
-            // Last: with every worker joined, checkpoint the database
-            // so a graceful stop never replays on the next open.
-            shutdown_checkpoint(&durable_db)
-        });
-
-        Ok(ServerHandle::new(
-            addr,
-            stats,
-            tracker,
-            registry,
+        Ok(shared.serve(
+            bound,
+            "staged-listener",
             gauge_names,
-            readiness,
-            set_fault,
-            breaker,
-            shutdown,
+            accept,
+            busy_workers,
+            move || {
+                let _ = controller_thread.join();
+                // Drain stage by stage, upstream first.
+                header_pool.shutdown();
+                static_pool.shutdown();
+                general_pool.shutdown();
+                lengthy_pool.shutdown();
+                render_pool.shutdown();
+                if let Some(pool) = render_lengthy_pool {
+                    pool.shutdown();
+                }
+            },
         ))
     }
 }
 
-/// Keep-alive decision from the request line and headers (HTTP/1.0
-/// defaults off, HTTP/1.1 defaults on).
-fn keep_alive_for(line: &RequestLine, headers: &HeaderMap) -> bool {
-    if line.version == "HTTP/1.0" {
-        headers
-            .get("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
-    } else {
-        headers.keep_alive()
+/// The listener's non-blocking enqueue: when the header queue is full
+/// the connection is shed with a `503`.
+fn accept(shared: &Shared, conn: Conn) -> bool {
+    match shared.model.header_q.try_push(shared.timed(conn)) {
+        Ok(()) => true,
+        Err(PushError::Full(timed)) => {
+            shared.model.header_stats.rejected.increment();
+            shared.shed(
+                timed.conn,
+                Method::Get,
+                ShedPoint::Listener,
+                Some(timed.trace),
+            );
+            true
+        }
+        Err(PushError::Closed(_)) => false,
     }
+}
+
+/// Workers busy across every stage, for the shutdown drain.
+fn busy_workers(shared: &Shared) -> i64 {
+    let m = &shared.model;
+    [
+        &m.header_stats,
+        &m.static_stats,
+        &m.general_stats,
+        &m.lengthy_stats,
+        &m.render_stats,
+    ]
+    .into_iter()
+    .chain(&m.render_lengthy_stats)
+    .map(|s| s.busy.value().max(0))
+    .sum()
 }
 
 /// Stage 2a: the header-parsing worker.
@@ -1030,8 +583,8 @@ fn header_worker(shared: &Shared, timed: TimedConn) {
     trace.dequeued();
     // Queue-wait check: a connection that waited longer than the whole
     // request budget is answered 503 before any parsing.
-    if shared.budget.is_some_and(|b| arrived.elapsed() > b) {
-        shared.expire(conn, Method::Get, trace);
+    if shared.waited_too_long(arrived) {
+        shared.expire(conn, Method::Get, Some(trace));
         return;
     }
     let line = match conn.read_request_line() {
@@ -1039,10 +592,7 @@ fn header_worker(shared: &Shared, timed: TimedConn) {
         // A clean close before any request line (a keep-alive
         // connection idling out) drops the trace: no response was owed.
         Err(HttpError::ConnectionClosed { clean: true }) => return,
-        Err(e) => {
-            fail_parse(shared, conn, e, trace);
-            return;
-        }
+        Err(e) => return shared.fail_parse(conn, e, Some(trace)),
     };
     // The per-request clock starts *after* the request line arrives, so
     // keep-alive think time (a connection idling between requests) does
@@ -1050,39 +600,15 @@ fn header_worker(shared: &Shared, timed: TimedConn) {
     trace.mark_start();
     let deadline = shared.budget.map(|b| Instant::now() + b);
 
-    // Health and observability endpoints are answered here, ahead of
-    // routing and without touching a database connection, so they stay
-    // truthful during the very outages they report.
-    if health::is_health_path(line.target.path())
-        || health::is_observability_path(line.target.path())
-    {
+    // Admin endpoints are answered here, ahead of routing.
+    if is_admin(line.target.path()) {
         let headers = match conn.read_remaining_headers() {
             Ok(h) => h,
-            Err(e) => {
-                fail_parse(shared, conn, e, trace);
-                return;
-            }
+            Err(e) => return shared.fail_parse(conn, e, Some(trace)),
         };
-        let keep_alive = keep_alive_for(&line, &headers);
-        let path = line.target.path().to_string();
-        if health::is_health_path(&path) {
-            shared.serve_health(conn, line.method, &path, keep_alive, trace);
-        } else {
-            let route = line
-                .target
-                .query_pairs()
-                .into_iter()
-                .find(|(k, _)| k == "route")
-                .map(|(_, v)| v);
-            shared.serve_observability(
-                conn,
-                line.method,
-                &path,
-                route.as_deref(),
-                keep_alive,
-                trace,
-            );
-        }
+        let response = shared.admin_response(&line);
+        let keep_alive = line.keep_alive(&headers);
+        shared.finish(conn, line.method, &response, keep_alive, None, trace, None);
         return;
     }
 
@@ -1092,14 +618,14 @@ fn header_worker(shared: &Shared, timed: TimedConn) {
         let method = line.method;
         trace.stage_done();
         trace.enqueued(Stage::Static);
-        if let Err(PushError::Full(job)) = shared.static_q.try_push(StaticJob {
+        if let Err(PushError::Full(job)) = shared.model.static_q.try_push(StaticJob {
             conn,
             line,
             deadline,
             trace,
         }) {
-            shared.static_stats.rejected.increment();
-            shared.shed(job.conn, method, ShedPoint::StaticStage, job.trace);
+            shared.model.static_stats.rejected.increment();
+            shared.shed(job.conn, method, ShedPoint::StaticStage, Some(job.trace));
         }
         return;
     }
@@ -1108,18 +634,12 @@ fn header_worker(shared: &Shared, timed: TimedConn) {
     // generate data.
     let headers = match conn.read_remaining_headers() {
         Ok(h) => h,
-        Err(e) => {
-            fail_parse(shared, conn, e, trace);
-            return;
-        }
+        Err(e) => return shared.fail_parse(conn, e, Some(trace)),
     };
     let body = match headers.content_length() {
         Some(len) if len > 0 => match conn.read_body(len) {
             Ok(b) => b,
-            Err(e) => {
-                fail_parse(shared, conn, e, trace);
-                return;
-            }
+            Err(e) => return shared.fail_parse(conn, e, Some(trace)),
         },
         _ => Vec::new(),
     };
@@ -1149,7 +669,7 @@ fn header_worker(shared: &Shared, timed: TimedConn) {
                 page.as_deref().unwrap_or_default(),
                 &request.params,
             );
-            if let Some(dc) = &shared.doc_cache {
+            if let Some(dc) = &shared.model.doc_cache {
                 match dc.lookup(&buf) {
                     Lookup::Hit(response) => return KeyOutcome::Hit(response),
                     Lookup::Miss(snapshot) => cache_snapshot = snapshot,
@@ -1166,7 +686,7 @@ fn header_worker(shared: &Shared, timed: TimedConn) {
                     request.method(),
                     &response,
                     request.keep_alive(),
-                    RequestKind::QuickDynamic,
+                    Some(RequestKind::QuickDynamic),
                     trace,
                     page.as_deref(),
                 );
@@ -1189,16 +709,17 @@ fn header_worker(shared: &Shared, timed: TimedConn) {
     };
     trace.classified(class == RequestClass::Lengthy);
     let method = request.method();
-    let (queue, stats, point, stage) = match shared.controller.dispatch(class, shared.tspare()) {
-        crate::scheduler::DynamicPoolChoice::General => (
-            &shared.general_q,
-            &shared.general_stats,
+    let m = &shared.model;
+    let (queue, stats, point, stage) = match m.controller.dispatch(class, shared.tspare()) {
+        DynamicPoolChoice::General => (
+            &m.general_q,
+            &m.general_stats,
             ShedPoint::General,
             Stage::General,
         ),
-        crate::scheduler::DynamicPoolChoice::Lengthy => (
-            &shared.lengthy_q,
-            &shared.lengthy_stats,
+        DynamicPoolChoice::Lengthy => (
+            &m.lengthy_q,
+            &m.lengthy_stats,
             ShedPoint::Lengthy,
             Stage::Lengthy,
         ),
@@ -1217,30 +738,8 @@ fn header_worker(shared: &Shared, timed: TimedConn) {
     };
     if let Err(PushError::Full(job)) = queue.try_push(job) {
         stats.rejected.increment();
-        shared.shed(job.conn, method, point, job.trace);
+        shared.shed(job.conn, method, point, Some(job.trace));
     }
-}
-
-/// Answers a failed parse with the status the error maps to — `400` for
-/// malformed requests, `431`/`413` for oversized headers/bodies, `408`
-/// for an expired lifecycle budget — always with `Connection: close`,
-/// so hostile or broken clients learn *why* instead of seeing a silent
-/// drop. Errors with no response mapping (I/O failures, unclean closes)
-/// are dropped as before.
-fn fail_parse(shared: &Shared, mut conn: Conn, e: HttpError, trace: Trace) {
-    match e.response_status() {
-        Some(status) => {
-            if e.is_lifecycle_timeout() {
-                shared.stats.slowloris_kills.increment();
-            }
-            let mut resp = Response::error(status);
-            resp.set_close();
-            let _ = conn.send(&resp);
-            shared.stats.errors.increment();
-        }
-        None => shared.stats.dropped_connections.increment(),
-    }
-    trace.finish(TraceOutcome::Dropped, None);
 }
 
 /// Stage 2b: the static-request worker (parses its own headers).
@@ -1253,32 +752,21 @@ fn static_worker(shared: &Shared, job: StaticJob) {
     } = job;
     trace.dequeued();
     if Shared::expired(deadline) {
-        shared.expire(conn, line.method, trace);
+        shared.expire(conn, line.method, Some(trace));
         return;
     }
     let headers = match conn.read_remaining_headers() {
         Ok(h) => h,
-        Err(e) => {
-            fail_parse(shared, conn, e, trace);
-            return;
-        }
+        Err(e) => return shared.fail_parse(conn, e, Some(trace)),
     };
-    let keep_alive = keep_alive_for(&line, &headers);
-    let response = shared
-        .app
-        .statics()
-        .response_for_request(line.target.path(), &headers);
-    shared.app.charge_static();
-    if response.status() == StatusCode::NOT_FOUND {
-        shared.stats.errors.increment();
-    }
+    let response = shared.serve_static(line.target.path(), &headers);
     trace.stage_done();
     shared.finish(
         conn,
         line.method,
         &response,
-        keep_alive,
-        RequestKind::Static,
+        line.keep_alive(&headers),
+        Some(RequestKind::Static),
         trace,
         Some(line.target.path()),
     );
@@ -1302,7 +790,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
     let keep_alive = request.keep_alive();
     let method = request.method();
     if Shared::expired(deadline) {
-        shared.expire(conn, method, trace);
+        shared.expire(conn, method, Some(trace));
         return;
     }
     let Some(page) = page else {
@@ -1312,7 +800,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
             method,
             &Response::error(StatusCode::NOT_FOUND),
             keep_alive,
-            kind,
+            Some(kind),
             trace,
             None,
         );
@@ -1328,7 +816,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
             method,
             &Response::error(StatusCode::NOT_FOUND),
             keep_alive,
-            kind,
+            Some(kind),
             trace,
             Some(&page),
         );
@@ -1338,7 +826,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
     let request = if captures.is_empty() {
         &request
     } else {
-        merged = crate::baseline::merge_captures(&request, &captures);
+        merged = merge_captures(&request, &captures);
         &merged
     };
     // Collect the handler's read set when some cache will tag an entry
@@ -1360,19 +848,19 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
             shared.tracker.record(&page, started.elapsed());
             // The §3.3 extension: templates whose average render time
             // is lengthy go to the dedicated lengthy-render pool.
-            let lengthy_render = shared.render_lengthy_q.is_some()
-                && shared.render_tracker.classify(&name) == crate::scheduler::RequestClass::Lengthy;
+            let m = &shared.model;
+            let lengthy_render = m.render_lengthy_q.is_some()
+                && m.render_tracker.classify(&name) == RequestClass::Lengthy;
             let (target, target_stats, stage) = if lengthy_render {
                 (
-                    shared.render_lengthy_q.as_ref().expect("checked above"),
-                    shared
-                        .render_lengthy_stats
+                    m.render_lengthy_q.as_ref().expect("checked above"),
+                    m.render_lengthy_stats
                         .as_ref()
                         .expect("stats exist with the queue"),
                     Stage::RenderLengthy,
                 )
             } else {
-                (&shared.render_q, &shared.render_stats, Stage::Render)
+                (&m.render_q, &m.render_stats, Stage::Render)
             };
             trace.stage_done();
             trace.enqueued(stage);
@@ -1391,7 +879,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
                 trace,
             }) {
                 target_stats.rejected.increment();
-                shared.shed(job.conn, method, ShedPoint::Render, job.trace);
+                shared.shed(job.conn, method, ShedPoint::Render, Some(job.trace));
             }
         }
         Ok(PageOutcome::Body(response)) => {
@@ -1407,9 +895,10 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
                     && response.headers().get("content-type") == Some("text/html; charset=utf-8")
                 {
                     shared
+                        .model
                         .stale
                         .put_tagged(key, response.body_shared(), reads.clone());
-                    if let (Some(dc), Some(reads)) = (&shared.doc_cache, &reads) {
+                    if let (Some(dc), Some(reads)) = (&shared.model.doc_cache, &reads) {
                         dc.publish(
                             key,
                             Arc::new(response.clone()),
@@ -1425,7 +914,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
                 method,
                 &response,
                 keep_alive,
-                kind,
+                Some(kind),
                 trace,
                 Some(&page),
             );
@@ -1436,7 +925,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
             // serve a stale copy if one exists, 503 only without one.
             shared.tracker.record(&page, started.elapsed());
             trace.note(TraceEvent::Unavailable);
-            if let Some(hit) = stale_key.as_deref().and_then(|k| shared.stale.get(k)) {
+            if let Some(hit) = stale_key.as_deref().and_then(|k| shared.model.stale.get(k)) {
                 shared.stats.degraded.increment();
                 trace.note(TraceEvent::StaleServed);
                 shared.finish(
@@ -1444,7 +933,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
                     method,
                     &hit.response(),
                     keep_alive,
-                    kind,
+                    Some(kind),
                     trace,
                     Some(&page),
                 );
@@ -1459,7 +948,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
                 method,
                 &overload_response(shared.retry.advise()),
                 false,
-                kind,
+                Some(kind),
                 trace,
                 Some(&page),
             );
@@ -1472,7 +961,7 @@ fn dynamic_worker(shared: &Shared, slot: &mut DbSlot, job: DynJob) {
                 method,
                 &Response::error(StatusCode::INTERNAL_SERVER_ERROR),
                 keep_alive,
-                kind,
+                Some(kind),
                 trace,
                 Some(&page),
             );
@@ -1502,39 +991,43 @@ fn render_worker(shared: &Shared, job: RenderJob) {
         // `Connection: close` — the client has been waiting the whole
         // budget already) still beats rendering a page nobody may be
         // listening for, and beats a 503 for one that was cacheable.
-        if let Some(hit) = stale_key.as_deref().and_then(|k| shared.stale.get(k)) {
+        if let Some(hit) = stale_key.as_deref().and_then(|k| shared.model.stale.get(k)) {
             shared.stats.deadline_expired.increment();
             shared.stats.degraded.increment();
             trace.note(TraceEvent::StaleServed);
             let mut response = hit.response();
             response.set_close();
-            shared.finish(conn, method, &response, false, kind, trace, Some(&page));
+            shared.finish(
+                conn,
+                method,
+                &response,
+                false,
+                Some(kind),
+                trace,
+                Some(&page),
+            );
         } else {
-            shared.expire(conn, method, trace);
+            shared.expire(conn, method, Some(trace));
         }
         return;
     }
     let render_started = Instant::now();
-    // The zero-copy hot path: render into a pooled buffer, freeze it
-    // into a shared body, and hand that same allocation to the stale
-    // cache and the connection writer.
-    let mut buf = staged_http::BufferPool::global().get();
-    let response = match shared
-        .app
-        .templates()
-        .render_into(&name, &context, &mut buf)
-    {
-        Ok(()) => {
-            shared.app.charge_render(buf.len());
-            let body = buf.freeze();
+    let response = match shared.render(&name, &context) {
+        Ok(response) => {
+            // The rendered body is shared, not copied, with the stale
+            // cache and the document cache.
             if let Some(key) = &stale_key {
-                shared.stale.put_tagged(key, body.clone(), reads.clone());
+                shared
+                    .model
+                    .stale
+                    .put_tagged(key, response.body_shared(), reads.clone());
             }
-            let response = Response::html(body);
             // Publish the finished page for healthy-path reuse, tagged
             // with what it read. `publish` discards it if a write to a
             // dependent table landed after this request's snapshot.
-            if let (Some(dc), Some(key), Some(reads)) = (&shared.doc_cache, &stale_key, &reads) {
+            if let (Some(dc), Some(key), Some(reads)) =
+                (&shared.model.doc_cache, &stale_key, &reads)
+            {
                 dc.publish(
                     key,
                     Arc::new(response.clone()),
@@ -1544,12 +1037,10 @@ fn render_worker(shared: &Shared, job: RenderJob) {
             }
             response
         }
-        Err(_) => {
-            shared.stats.errors.increment();
-            Response::error(StatusCode::INTERNAL_SERVER_ERROR)
-        }
+        Err(error) => error,
     };
     shared
+        .model
         .render_tracker
         .record(&name, render_started.elapsed());
     trace.stage_done();
@@ -1558,7 +1049,7 @@ fn render_worker(shared: &Shared, job: RenderJob) {
         method,
         &response,
         keep_alive,
-        kind,
+        Some(kind),
         trace,
         Some(&page),
     );

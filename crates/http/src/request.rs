@@ -75,6 +75,19 @@ impl RequestLine {
     pub fn is_static(&self) -> bool {
         self.target.is_static_resource()
     }
+
+    /// Whether a request with this line and `headers` keeps its
+    /// connection open: HTTP/1.0 only on an explicit
+    /// `Connection: keep-alive`, HTTP/1.1 unless `Connection: close`.
+    pub fn keep_alive(&self, headers: &HeaderMap) -> bool {
+        if self.version == "HTTP/1.0" {
+            headers
+                .get("connection")
+                .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
+        } else {
+            headers.keep_alive()
+        }
+    }
 }
 
 impl fmt::Display for RequestLine {
@@ -146,13 +159,7 @@ impl Request {
     /// Whether the client requested (or defaulted to) a persistent
     /// connection.
     pub fn keep_alive(&self) -> bool {
-        if self.line.version == "HTTP/1.0" {
-            self.headers
-                .get("connection")
-                .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"))
-        } else {
-            self.headers.keep_alive()
-        }
+        self.line.keep_alive(&self.headers)
     }
 }
 

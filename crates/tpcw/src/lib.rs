@@ -55,4 +55,4 @@ pub use report::{PageReport, WorkloadReport};
 pub use scale::ScaleConfig;
 pub use schema::create_schema;
 pub use templates::install_templates;
-pub use workload::{run_workload, WorkloadConfig, PAGES};
+pub use workload::{run_workload, Browser, WorkloadConfig, PAGES};

@@ -137,18 +137,33 @@ impl Collector {
     }
 }
 
-struct Browser {
-    addr: SocketAddr,
+/// One emulated browser's session: it picks pages per the browsing
+/// mix and builds each request target from its session state (its
+/// customer id and the cart id learned from the pages it was served).
+#[derive(Debug)]
+pub struct Browser {
     rng: StdRng,
     c_id: i64,
     sc_id: u64,
     scale: ScaleConfig,
-    timeout: Duration,
 }
 
 impl Browser {
+    /// A browser seeded with `seed`, acting for a random customer of
+    /// `scale`'s population.
+    pub fn new(seed: u64, scale: ScaleConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let c_id = rng.gen_range(1..=scale.customers as i64);
+        Browser {
+            rng,
+            c_id,
+            sc_id: 0,
+            scale,
+        }
+    }
+
     /// Picks the next page per the browsing mix.
-    fn next_page(&mut self) -> &'static str {
+    pub fn next_page(&mut self) -> &'static str {
         let roll = self.rng.gen_range(0..10_000u32);
         let mut acc = 0;
         for (route, weight) in MIX {
@@ -170,7 +185,11 @@ impl Browser {
     }
 
     /// Builds the request target for a page, using session state.
-    fn target_for(&mut self, route: &str) -> String {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `route` is not one of the 14 [`PAGES`].
+    pub fn target_for(&mut self, route: &str) -> String {
         let c = self.c_id;
         match route {
             "home" => format!("/home?c_id={c}"),
@@ -213,6 +232,17 @@ impl Browser {
                 self.rng.gen_range(5.0..100.0)
             ),
             other => panic!("unknown route {other}"),
+        }
+    }
+
+    /// Updates the session from the body the server answered `route`
+    /// with: a shopping-cart page carries the server-assigned cart id,
+    /// and a confirmed purchase empties the cart.
+    pub fn observe(&mut self, route: &str, body: &[u8]) {
+        match route {
+            "shopping_cart" => self.learn_cart_id(&String::from_utf8_lossy(body)),
+            "buy_confirm" => self.sc_id = 0,
+            _ => {}
         }
     }
 
@@ -268,16 +298,7 @@ pub fn run_workload(
         let handle = std::thread::Builder::new()
             .name(format!("eb-{eb}"))
             .spawn(move || {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let c_id = rng.gen_range(1..=scale.customers as i64);
-                let mut browser = Browser {
-                    addr,
-                    rng,
-                    c_id,
-                    sc_id: 0,
-                    scale,
-                    timeout,
-                };
+                let mut browser = Browser::new(seed, scale);
                 while !stop.load(Ordering::Acquire) {
                     let route = browser.next_page();
                     let target = browser.target_for(route);
@@ -286,13 +307,7 @@ pub fn run_workload(
                     // to the last byte of the web interaction response"
                     // — which includes the page's embedded images.
                     let started = Instant::now();
-                    let result = fetch_with_timeout(
-                        browser.addr,
-                        Method::Get,
-                        &target,
-                        &[],
-                        browser.timeout,
-                    );
+                    let result = fetch_with_timeout(addr, Method::Get, &target, &[], timeout);
                     let (ok, shed) = match &result {
                         Ok(resp) => (
                             resp.status.is_success(),
@@ -301,12 +316,7 @@ pub fn run_workload(
                         Err(_) => (false, false),
                     };
                     if let Ok(resp) = &result {
-                        if route == "shopping_cart" {
-                            browser.learn_cart_id(&resp.text());
-                        }
-                        if route == "buy_confirm" {
-                            browser.sc_id = 0; // cart emptied server-side
-                        }
+                        browser.observe(route, &resp.body);
                     }
                     // Embedded static images for this page view.
                     let images = browser.scale.images_per_page;
@@ -317,11 +327,11 @@ pub fn run_workload(
                         }
                         let n = browser.rng.gen_range(0..total_images);
                         let _ = fetch_with_timeout(
-                            browser.addr,
+                            addr,
                             Method::Get,
                             &format!("/img/thumb_{n}.gif"),
                             &[],
-                            browser.timeout,
+                            timeout,
                         );
                     }
                     let elapsed = started.elapsed();
@@ -410,12 +420,10 @@ mod tests {
     #[test]
     fn browser_page_distribution_roughly_matches_mix() {
         let mut browser = Browser {
-            addr: "127.0.0.1:1".parse().unwrap(),
             rng: StdRng::seed_from_u64(7),
             c_id: 1,
             sc_id: 0,
             scale: ScaleConfig::tiny(),
-            timeout: Duration::from_secs(1),
         };
         let mut counts: HashMap<&str, u32> = HashMap::new();
         for _ in 0..20_000 {
@@ -430,12 +438,10 @@ mod tests {
     #[test]
     fn targets_are_valid_http_targets() {
         let mut browser = Browser {
-            addr: "127.0.0.1:1".parse().unwrap(),
             rng: StdRng::seed_from_u64(3),
             c_id: 5,
             sc_id: 9,
             scale: ScaleConfig::tiny(),
-            timeout: Duration::from_secs(1),
         };
         for (route, _) in PAGES {
             let t = browser.target_for(route);
@@ -448,12 +454,10 @@ mod tests {
     #[test]
     fn learns_cart_id_from_page() {
         let mut browser = Browser {
-            addr: "127.0.0.1:1".parse().unwrap(),
             rng: StdRng::seed_from_u64(3),
             c_id: 5,
             sc_id: 0,
             scale: ScaleConfig::tiny(),
-            timeout: Duration::from_secs(1),
         };
         browser.learn_cart_id(r#"<input type="hidden" name="sc_id" value="271">"#);
         assert_eq!(browser.sc_id, 271);

@@ -1,12 +1,15 @@
 //! HTTP protocol semantics across both servers: HEAD, keep-alive
-//! pipelining, and POST bodies.
+//! pipelining, POST bodies, and the shared front's answers to admin,
+//! malformed and unroutable requests.
 
 use staged_web::core::{App, BaselineServer, PageOutcome, ServerConfig, StagedServer};
 use staged_web::db::Database;
 use staged_web::http::{read_response, Response, StaticFiles, StatusCode};
-use std::io::Write;
+use std::cell::RefCell;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn demo_app() -> App {
     let mut statics = StaticFiles::in_memory();
@@ -161,4 +164,109 @@ fn method_is_case_sensitive_per_rfc() {
         let resp = read_response(&mut stream).unwrap();
         assert_eq!(resp.status, StatusCode::BAD_REQUEST, "{which}");
     });
+}
+
+/// What a client can observe of one exchange: the status line, the
+/// content type, whether the response says `Connection: close`, and
+/// whether the server then really closed the connection.
+#[derive(Debug, PartialEq, Eq)]
+struct Exchange {
+    status: u16,
+    content_type: Option<String>,
+    says_close: bool,
+    closed: bool,
+}
+
+/// Sends `raw` on a fresh connection and reads the response head (and
+/// the body, unless `head_only`). A follow-up `/healthz` on the same
+/// connection tells whether the server kept it open; its answer (or
+/// EOF) also orders every counter the first request moved before the
+/// next `/metrics` read.
+fn exchange(addr: std::net::SocketAddr, raw: &[u8], head_only: bool) -> Exchange {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(raw).unwrap();
+    let mut buf = Vec::new();
+    let mut byte = [0u8; 1];
+    while !buf.ends_with(b"\r\n\r\n") {
+        assert_eq!(stream.read(&mut byte).unwrap(), 1, "response head");
+        buf.push(byte[0]);
+    }
+    let head = String::from_utf8(buf).unwrap().to_ascii_lowercase();
+    let header = |name: &str| {
+        head.lines()
+            .find_map(|l| l.strip_prefix(&format!("{name}: ")))
+            .map(str::to_string)
+    };
+    if !head_only {
+        let len: usize = header("content-length").unwrap().parse().unwrap();
+        let mut body = vec![0u8; len];
+        stream.read_exact(&mut body).unwrap();
+    }
+    let _ = stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n");
+    let closed = !matches!(stream.read(&mut byte), Ok(1));
+    Exchange {
+        status: head[9..12].parse().unwrap(),
+        content_type: header("content-type"),
+        says_close: header("connection").as_deref() == Some("close"),
+        closed,
+    }
+}
+
+/// The server's `errors_total`, read from `/metrics`.
+fn errors_total(addr: std::net::SocketAddr) -> u64 {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let text = read_response(&mut stream).unwrap().text();
+    text.lines()
+        .find_map(|l| l.strip_prefix("errors_total "))
+        .expect("errors_total exported")
+        .parse::<f64>()
+        .unwrap() as u64
+}
+
+#[test]
+fn both_servers_answer_the_front_identically() {
+    let mut oversized = b"GET /echo HTTP/1.1\r\n".to_vec();
+    for i in 0..101 {
+        oversized.extend_from_slice(format!("X-h{i}: v\r\n").as_bytes());
+    }
+    oversized.extend_from_slice(b"\r\n");
+    let get = |target: &str| format!("GET {target} HTTP/1.1\r\n\r\n").into_bytes();
+    let cases: Vec<(&str, Vec<u8>, u16)> = vec![
+        ("healthz", get("/healthz"), 200),
+        ("readyz", get("/readyz"), 200),
+        ("metrics", get("/metrics"), 200),
+        ("explain", get("/debug/explain"), 200),
+        ("traces", get("/debug/traces"), 200),
+        (
+            "head metrics",
+            b"HEAD /metrics HTTP/1.1\r\n\r\n".to_vec(),
+            200,
+        ),
+        ("malformed", b"BROKEN\r\n\r\n".to_vec(), 400),
+        ("oversized headers", oversized, 431),
+        ("missing static", get("/missing.png"), 404),
+        ("unrouted", get("/nowhere"), 404),
+    ];
+    let seen = RefCell::new(Vec::new());
+    each_server(|addr, which| {
+        let mut observed = Vec::new();
+        for (name, raw, want) in &cases {
+            let before = errors_total(addr);
+            let got = exchange(addr, raw, raw.starts_with(b"HEAD"));
+            let errors = errors_total(addr) - before;
+            assert_eq!(got.status, *want, "{which} {name}: {got:?}");
+            observed.push((*name, got, errors));
+        }
+        seen.borrow_mut().push(observed);
+    });
+    let seen = seen.into_inner();
+    for (baseline, staged) in seen[0].iter().zip(&seen[1]) {
+        assert_eq!(baseline, staged, "baseline vs staged on {}", baseline.0);
+    }
 }
